@@ -181,14 +181,23 @@ def _round_digest(plan: RoundPlan, channel: ChannelRound) -> bytes:
 
 
 def _coin_cursor(engine: ArrayEngine) -> dict:
-    """The engine-stream RNG state plus a digest over the node streams."""
+    """The engine-stream RNG state plus a digest over the node stream positions.
+
+    A node's position is how far its coins have been drawn: through the
+    streams' :class:`~repro.sim.core.array_protocol.CoinDeck` (array
+    protocols) as a per-node coin count, and through the node generators
+    built so far (object protocols) as their states.
+    """
+    streams = engine.streams
     node_digest = hashlib.sha256()
-    for gen in engine.streams.nodes:
+    if streams.coin_deck is not None:
+        node_digest.update(streams.coin_deck.positions().tobytes())
+    for node, gen in streams.nodes.built():
         node_digest.update(
-            json.dumps(gen.bit_generator.state, sort_keys=True, default=int).encode()
+            json.dumps([node, gen.bit_generator.state], sort_keys=True, default=int).encode()
         )
     return {
-        "engine_stream_state": engine.streams.engine.bit_generator.state,
+        "engine_stream_state": streams.engine.bit_generator.state,
         "node_streams_sha256": node_digest.hexdigest(),
     }
 

@@ -10,11 +10,12 @@ array operations instead of ``n`` Python method calls.
 
 Per-node randomness is preserved exactly: :class:`CoinDeck` draws each
 node's coins from the same :class:`~repro.sim.rng.SeededStreams` node
-stream the object path uses, in chunks (numpy generators produce identical
-sequences whether drawn one value at a time or in blocks), so an array
-protocol that flips coins for the same node set in the same rounds as its
-object form is *bitwise identical* to it — same traces, same
-rounds-to-delivery, same failures.
+stream the object path uses, in chunks (the first one computed in numpy
+from the array-held PCG64 states, later ones by the node's own numpy
+generator; a PCG64 stream yields identical values drawn singly, in blocks,
+or by jump-ahead), so an array protocol that flips coins for the same node
+set in the same rounds as its object form is *bitwise identical* to it —
+same traces, same rounds-to-delivery, same failures.
 
 A registry maps protocol names to their array forms, alongside (not
 replacing) the object-form registry in :mod:`repro.sim.protocol`.
@@ -31,10 +32,10 @@ import numpy as np
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.params import ProtocolParams
+from repro.sim.rng import SeededStreams, pcg64_generator, pcg64_uniforms
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.core.channel import ChannelRound
-    from repro.sim.rng import SeededStreams
 
 __all__ = [
     "ArrayContext",
@@ -63,7 +64,7 @@ class ArrayContext:
     source: int
     params: ProtocolParams
     collision_detection: bool
-    streams: "SeededStreams" = field(repr=False)
+    streams: SeededStreams = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -149,32 +150,57 @@ class CoinDeck:
     """Vectorized access to per-node seeded coin streams.
 
     ``draw(nodes)`` returns one uniform in ``[0, 1)`` per listed node,
-    taken from that node's private generator — the *same* values, in the
+    taken from that node's private stream — the *same* values, in the
     same per-node order, that the object path's ``ctx.rng.random()`` calls
-    would produce.  Coins are pre-drawn per node in chunks so a round's
-    draws cost two fancy-indexing operations plus an amortized
-    ``1/chunk`` refill loop.
+    would produce.  Coins are buffered per node in chunks, so a round's
+    draws cost two fancy-indexing operations.
+
+    The first chunk of every node is computed at construction straight
+    from the streams' array-held PCG64 states
+    (:func:`~repro.sim.rng.pcg64_uniforms`, one vectorized jump-ahead
+    pass), so no generator object is built.  A node that uses up its
+    chunk continues on a numpy generator of its own stream
+    (:func:`~repro.sim.rng.pcg64_generator`), built on that first refill
+    and advanced past the first chunk; numpy refills one node faster than
+    a vectorized call does.
+    The deck binds itself to ``streams.coin_deck`` so that
+    :meth:`positions` can be read off the streams.
     """
 
-    def __init__(self, streams: "SeededStreams", *, chunk: int = 64) -> None:
+    def __init__(self, streams: SeededStreams, *, chunk: int = 64) -> None:
         if chunk < 1:
             raise ConfigurationError(f"chunk must be positive, got {chunk}")
-        self._gens = streams.nodes
+        self._seed_words = streams.seed_words
         self._chunk = chunk
+        self._buf = pcg64_uniforms(streams.states, chunk)
         n = len(streams.nodes)
-        self._buf = np.empty((n, chunk), dtype=np.float64)
-        self._pos = np.full(n, chunk, dtype=np.int64)
+        self._pos = np.zeros(n, dtype=np.int64)
+        self._refills = np.zeros(n, dtype=np.int64)
+        self._tails: list[np.random.Generator | None] = [None] * n
+        streams.coin_deck = self
 
     def draw(self, nodes: np.ndarray) -> np.ndarray:
         """One coin per node in ``nodes`` (unique indices), from its own stream."""
-        pos = self._pos
-        stale = nodes[pos[nodes] >= self._chunk]
-        for i in stale.tolist():
-            self._buf[i] = self._gens[i].random(self._chunk)
-            pos[i] = 0
-        coins = self._buf[nodes, pos[nodes]]
-        pos[nodes] += 1
+        chunk = self._chunk
+        at = self._pos[nodes]
+        stale = at >= chunk
+        if stale.any():
+            refill = nodes[stale]
+            buf, tails = self._buf, self._tails
+            for i in refill.tolist():
+                gen = tails[i]
+                if gen is None:
+                    gen = tails[i] = pcg64_generator(self._seed_words[i], chunk)
+                gen.random(out=buf[i])
+            self._refills[refill] += 1
+            at[stale] = 0
+        coins = self._buf[nodes, at]
+        self._pos[nodes] = at + 1
         return coins
+
+    def positions(self) -> np.ndarray:
+        """Coins each node has drawn so far: its position in its own stream."""
+        return self._refills * self._chunk + self._pos
 
 
 # ---------------------------------------------------------------------- #

@@ -307,19 +307,24 @@ class TestPrepareBroadcastEngine:
 
 class TestCoinDeck:
     def test_draws_match_per_node_streams(self):
-        a = SeededStreams(9, 5)
-        b = SeededStreams(9, 5)
-        deck = CoinDeck(a, chunk=3)  # tiny chunk to force refills
-        seen = {i: [] for i in range(5)}
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            nodes = np.nonzero(rng.random(5) < 0.6)[0]
-            coins = deck.draw(nodes)
-            for node, coin in zip(nodes.tolist(), coins.tolist()):
-                seen[node].append(coin)
-        for node in range(5):
-            expected = [b.nodes[node].random() for _ in range(len(seen[node]))]
-            assert seen[node] == expected
+        # 3 forces many refills on the nodes' own generators; 64 is larger
+        # than any node's draw count, so every coin comes from the
+        # vectorized first chunk.
+        for chunk in (3, 64):
+            a = SeededStreams(9, 5)
+            b = SeededStreams(9, 5)
+            deck = CoinDeck(a, chunk=chunk)
+            seen = {i: [] for i in range(5)}
+            rng = np.random.default_rng(0)
+            for _ in range(40):
+                nodes = np.nonzero(rng.random(5) < 0.6)[0]
+                coins = deck.draw(nodes)
+                for node, coin in zip(nodes.tolist(), coins.tolist()):
+                    seen[node].append(coin)
+            for node in range(5):
+                expected = [b.nodes[node].random() for _ in range(len(seen[node]))]
+                assert seen[node] == expected
+            assert deck.positions().tolist() == [len(seen[i]) for i in range(5)]
 
     def test_rejects_non_positive_chunk(self):
         with pytest.raises(ConfigurationError, match="chunk"):

@@ -25,18 +25,22 @@ from repro.analysis.simsan import (
 from repro.analysis.simsan.bisect import (
     ReplaySpec,
     WrongFeedbackOperand,
+    _coin_cursor,
     bisect_run,
     first_divergent_round,
+    replay_digests,
     write_bundle,
 )
 from repro.analysis.simsan.bisect import main as bisect_main
 from repro.errors import BroadcastFailure, SanitizerError
 from repro.params import ProtocolParams
+from repro.sim.core.adapter import ObjectProtocolAdapter
 from repro.sim.core.array_protocol import RoundPlan
 from repro.sim.core.batch import ArrayEngine, select_kernel_operand
 from repro.sim.core.stats import conservation_violation
 from repro.sim.engine import Engine
 from repro.sim.faults import sample_fault_schedule
+from repro.sim.protocol import protocol_class
 from repro.sim.runners import broadcast_spec, run_broadcast, run_broadcast_batch
 from repro.sim.topology import from_spec
 
@@ -392,6 +396,26 @@ def test_bundle_contents(tmp_path):
     # corruption only lands when round 3 resolves).
     assert bundle["active"]["digest"] != bundle["reference"]["digest"]
     assert bundle["active"]["transmit_packed"] == bundle["reference"]["transmit_packed"]
+
+
+def test_coin_cursor_moves_with_array_coin_use():
+    # Decay's transmitters draw a coin every round, so the array run's
+    # node-stream cursor must differ between two captured rounds.
+    spec = ReplaySpec(protocol="decay", topology="grid", n=36, seed=4, backend="dense")
+    cursors = [
+        replay_digests(spec, backend="dense", capture_at=r)[1]["coin_cursor"]
+        for r in (1, 6)
+    ]
+    assert cursors[0]["node_streams_sha256"] != cursors[1]["node_streams_sha256"]
+
+
+def test_coin_cursor_moves_with_object_generator_use():
+    net = from_spec("grid", 16, seed=0)
+    protos = [protocol_class("decay")() for _ in range(net.n)]
+    engine = ArrayEngine(net, ObjectProtocolAdapter(protos), seed=3)
+    before = _coin_cursor(engine)["node_streams_sha256"]
+    engine.streams.nodes[net.source].random()
+    assert _coin_cursor(engine)["node_streams_sha256"] != before
 
 
 def test_bisect_cli_exit_codes(tmp_path, capsys):
